@@ -1,59 +1,32 @@
 //! Column-oriented Pull (paper §3.3, Algorithm 3).
 //!
 //! Processing column `i`: load `D_i` once; stream in-blocks
-//! `(0, i)..(P-1, i)` sequentially, loading `S_j` and the in-index per
+//! `(0, i)..(P-1, i)` in order, loading `S_j` and the in-index per
 //! block; every destination vertex of interval `i` locates its own
-//! in-edge range and pulls from active in-neighbors. Blocks of a column
-//! cannot be overlapped (they all write `D_i`), but within a block the
-//! destinations are disjoint, so the pull is parallelized per destination
-//! vertex with no write conflicts (§3.5).
+//! in-edge range and pulls from active in-neighbors.
 //!
-//! Disk I/O and CPU are overlapped as the paper describes (§3.5: "the
-//! out-edges of the next out-block can be loaded before the processing
-//! of current out-block is finished if the memory is sufficient"): a
-//! small pool of producer threads fetches up to
-//! [`readahead`](crate::engine::RunConfig::readahead_blocks) blocks ahead
-//! of the consumer — each block's `S_j`, in-index and edge records —
-//! while the workers process the current block. Blocks are delivered
-//! strictly in column order regardless of which producer finishes first,
-//! so the result is bit-identical to a serial fetch loop; a fetch error
-//! cancels the remaining producers eagerly and surfaces to the caller,
-//! with the bytes of any already-prefetched-but-unconsumed blocks
-//! reported via the `cop.readahead_unused_bytes` counter.
-//!
-//! Across columns of a synchronous iteration, [`run_columns`] also
-//! overlaps each column's `D` write-back with the next column's first
-//! fetches (the write happens on a helper thread while the next column
-//! starts streaming).
+//! Parallelism follows §3.5. The columns of a synchronous iteration
+//! write disjoint `D_i`, so [`run_columns`] hands whole columns to the
+//! worker pool: each worker fetches, decodes and pulls its column's
+//! blocks in order, then writes `D_i` back, holding one `D` interval and
+//! one block at a time. The ordered schedules (Gauss-Seidel, per-column
+//! hybrid) must finish a column before the next one starts, so
+//! [`run_column`] fetches inline and spreads each block's pull over the
+//! pool by destination vertex (each owns a disjoint `D` slot). Either
+//! way every destination combines its in-edges in the serial walk's
+//! order, so results are bit-identical at any thread count.
 
 use crate::graph::EdgeRecords;
 use crate::program::VertexProgram;
 use crate::rop::{load_d, IterCtx};
 use crate::vertex_store::VertexStore;
 use hus_obs::span;
-use hus_storage::{Access, Result, StorageError};
+use hus_storage::{Access, Result};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Sizes (in edge records) of the streamed in-blocks — the distribution
 /// behind COP's sequential-I/O bill.
 static BLOCK_EDGES: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("cop.block_edges");
-/// Readahead window depth currently in effect.
-static READAHEAD_DEPTH: hus_obs::LazyGauge = hus_obs::LazyGauge::new("cop.readahead_depth");
-/// Nanoseconds the consumer waited for its next in-order block — near
-/// zero when the prefetchers keep up, the full fetch latency when not.
-static QUEUE_WAIT_NS: hus_obs::LazyHistogram = hus_obs::LazyHistogram::new("cop.queue_wait_ns");
-/// Edge-record bytes fetched ahead but never consumed (error paths).
-static READAHEAD_UNUSED: hus_obs::LazyCounter =
-    hus_obs::LazyCounter::new("cop.readahead_unused_bytes");
-/// Columns degraded from the readahead pipeline to a synchronous fetch
-/// loop after a non-corruption pipeline failure.
-static OBS_SYNC_FALLBACKS: hus_obs::LazyCounter =
-    hus_obs::LazyCounter::new("storage.fallback.sync");
-/// Log the pipeline→synchronous degradation once per process.
-static SYNC_FALLBACK_ONCE: std::sync::Once = std::sync::Once::new();
 
 /// One fetched in-block, ready to process.
 struct FetchedBlock<V> {
@@ -67,312 +40,97 @@ struct FetchedBlock<V> {
     records: EdgeRecords,
 }
 
-/// Unwind guard for the prefetch pipeline: if the thread holding it
-/// panics (e.g. the consumer processing damaged-but-unverified bytes,
-/// see DESIGN.md §9), the pipeline is cancelled and every parked
-/// thread woken — otherwise the enclosing `thread::scope` would join
-/// producers that are waiting on a condvar nobody will ever signal,
-/// turning the panic into a deadlock.
-struct CancelOnUnwind<'a, V> {
-    state: &'a Mutex<PipelineState<V>>,
-    wakeup: &'a Condvar,
-}
-
-impl<V> Drop for CancelOnUnwind<'_, V> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Ok(mut st) = self.state.lock() {
-                st.cancelled = true;
-            }
-            self.wakeup.notify_all();
-        }
-    }
-}
-
-/// Shared state of the ordered prefetch pipeline.
-struct PipelineState<V> {
-    /// Blocks fetched but not yet consumed, keyed by sequence number.
-    ready: BTreeMap<usize, Result<FetchedBlock<V>>>,
-    /// Next sequence number the consumer will take; producers stay
-    /// within `next_emit + depth`.
-    next_emit: usize,
-    /// Set by the consumer (on error) or by a failed producer; everyone
-    /// drains out promptly instead of fetching blocks nobody will read.
-    cancelled: bool,
-}
-
-/// Process column `col` under COP with a readahead window of
-/// `readahead` blocks and at most `queue_depth` concurrent producer
-/// fetches (see [`RunConfig::queue_depth`](crate::RunConfig)).
-/// `touched_col` says whether `D_col` was already
-/// initialized this iteration. Returns the updated `D_col` (not yet
-/// written back) and the number of edge records streamed (COP pays for
-/// every in-edge of the column, active or not — that is its trade).
-///
-/// If the readahead pipeline fails with a non-corruption error (a
-/// transient fault that survived the retry policy, a thread-pool
-/// breakage, ...), the column is re-run once with a plain synchronous
-/// fetch loop before the error is surfaced — the degradation is logged
-/// once and counted in `storage.fallback.sync` / the run's
-/// [`ResilienceSnapshot`](hus_storage::ResilienceSnapshot). Corruption
-/// (checksum mismatches, bad casts) is never masked by a retry.
+/// Pull every non-empty in-block of column `col` into a fresh `D_col`,
+/// fetching each block inline; `parallel_pull` spreads each block's pull
+/// over the pool. Returns `D_col` (not yet written back) and the number
+/// of edge records streamed (COP pays for every in-edge of the column,
+/// active or not — that is its trade).
 fn process_column<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     col: usize,
-    touched_col: bool,
-    readahead: usize,
-    queue_depth: usize,
+    parallel_pull: bool,
 ) -> Result<(Vec<Pr::Value>, u64)> {
-    match process_column_inner(ctx, store, col, touched_col, readahead, queue_depth) {
-        // A crossed deadline is a final verdict on the query, not a
-        // pipeline fault — re-running the column synchronously would
-        // only overshoot the budget further.
-        Err(e) if readahead > 1 && !e.is_corruption() && !e.is_deadline() => {
-            hus_storage::retry::warn_once(
-                &SYNC_FALLBACK_ONCE,
-                "COP readahead pipeline failed; degrading to synchronous block fetches",
-            );
-            OBS_SYNC_FALLBACKS.add(1);
-            ctx.graph.dir().resilience().record_sync_fallback();
-            if hus_obs::heatmap_enabled() {
-                // Every non-empty block of the column is re-fetched
-                // synchronously; mark them all degraded on the heatmap.
-                for i in 0..ctx.graph.p() {
-                    if ctx.graph.in_block_len(i, col) > 0 {
-                        hus_obs::attr::record_at(
-                            i as u32,
-                            col as u32,
-                            hus_obs::BlockStat::Degradations,
-                            1,
-                        );
-                    }
-                }
-            }
-            process_column_inner(ctx, store, col, touched_col, 0, queue_depth)
-        }
-        other => other,
-    }
-}
-
-/// The actual column walk; `readahead == 0` forces the fully
-/// synchronous fetch loop (degraded mode), `>= 1` sizes the pipeline.
-fn process_column_inner<Pr: VertexProgram>(
-    ctx: &IterCtx<'_, Pr>,
-    store: &VertexStore<Pr::Value>,
-    col: usize,
-    touched_col: bool,
-    readahead: usize,
-    queue_depth: usize,
-) -> Result<(Vec<Pr::Value>, u64)> {
-    let meta = ctx.graph.meta();
-    let mut d_col = load_d(ctx.program, store, col, touched_col, Access::Sequential)?;
-    let dst_base = meta.interval_start(col);
+    let mut d_col = load_d(ctx.program, store, col, false, Access::Sequential)?;
+    let dst_base = ctx.graph.meta().interval_start(col);
     let mut streamed = 0u64;
-
-    let fetch = |i: usize| -> Result<FetchedBlock<Pr::Value>> {
+    for i in (0..ctx.graph.p()).filter(|&i| ctx.graph.in_block_len(i, col) > 0) {
+        crate::engine::check_deadline(ctx.deadline.as_ref())?;
         // The whole fetch (vertex chunk + index + edge stream) runs
         // under block (i, col)'s attribution scope, so the heatmap sees
         // the column's vertex-value traffic too, not just edge bytes.
-        hus_obs::attr::with_block(i as u32, col as u32, || {
-            let s_block = store.load_current(i, Access::Sequential)?;
-            let index = ctx.graph.load_in_index(i, col, Access::Sequential)?;
-            let records = ctx.graph.stream_in_block(i, col)?;
-            Ok(FetchedBlock { src_interval: i, s_block, index, records })
-        })
-    };
-
-    let blocks: Vec<usize> =
-        (0..ctx.graph.p()).filter(|&i| ctx.graph.in_block_len(i, col) > 0).collect();
-
-    let depth = readahead.max(1).min(blocks.len());
-    READAHEAD_DEPTH.set(depth as u64);
-    if readahead == 0 || blocks.len() <= 1 {
-        // Nothing to overlap (or degraded mode): fetch inline.
-        for &i in &blocks {
-            crate::engine::check_deadline(ctx.deadline.as_ref())?;
-            let block = fetch(i)?;
-            BLOCK_EDGES.record(block.records.len() as u64);
-            streamed += block.records.len() as u64;
-            pull_block(ctx, &block, dst_base, &mut d_col);
-        }
-        return Ok((d_col, streamed));
+        let block = hus_obs::attr::with_block(i as u32, col as u32, || -> Result<_> {
+            Ok(FetchedBlock {
+                src_interval: i,
+                s_block: store.load_current(i, Access::Sequential)?,
+                index: ctx.graph.load_in_index(i, col, Access::Sequential)?,
+                records: ctx.graph.stream_in_block(i, col)?,
+            })
+        })?;
+        BLOCK_EDGES.record(block.records.len() as u64);
+        streamed += block.records.len() as u64;
+        pull_block(ctx, &block, dst_base, &mut d_col, parallel_pull);
     }
-
-    // N-deep ordered prefetch pipeline (paper §3.5): producers claim
-    // sequence numbers, fetch within the sliding window, and park the
-    // result in the ready map; the consumer takes blocks strictly in
-    // order.
-    let state = Mutex::new(PipelineState::<Pr::Value> {
-        ready: BTreeMap::new(),
-        next_emit: 0,
-        cancelled: false,
-    });
-    let wakeup = Condvar::new();
-    let next_fetch = AtomicUsize::new(0);
-    // Producer fan-out = the configured queue depth, clamped by the
-    // window (more producers than resident slots would just park).
-    let producers = depth.min(queue_depth.max(1));
-    let record_bytes = meta.edge_record_bytes();
-
-    let result: Result<()> = std::thread::scope(|scope| {
-        for _ in 0..producers {
-            scope.spawn(|| {
-                let _cancel = CancelOnUnwind { state: &state, wakeup: &wakeup };
-                loop {
-                    let seq = next_fetch.fetch_add(1, Ordering::Relaxed);
-                    if seq >= blocks.len() {
-                        break;
-                    }
-                    {
-                        let mut st = state.lock().expect("pipeline state poisoned");
-                        while !st.cancelled && seq >= st.next_emit + depth {
-                            st = wakeup.wait(st).expect("pipeline state poisoned");
-                        }
-                        if st.cancelled {
-                            break;
-                        }
-                    }
-                    let fetched = fetch(blocks[seq]);
-                    let failed = fetched.is_err();
-                    let mut st = state.lock().expect("pipeline state poisoned");
-                    if failed {
-                        // Stop the pool eagerly; the consumer will hit the
-                        // error when it reaches this sequence number.
-                        st.cancelled = true;
-                    }
-                    st.ready.insert(seq, fetched);
-                    wakeup.notify_all();
-                    if failed {
-                        break;
-                    }
-                }
-            });
-        }
-
-        let _cancel = CancelOnUnwind { state: &state, wakeup: &wakeup };
-        for seq in 0..blocks.len() {
-            if let Err(e) = crate::engine::check_deadline(ctx.deadline.as_ref()) {
-                // Same teardown as a fetch error: cancel the producer
-                // pool so no thread keeps reading past the deadline.
-                let mut st = state.lock().expect("pipeline state poisoned");
-                st.cancelled = true;
-                st.ready.clear();
-                wakeup.notify_all();
-                return Err(e);
-            }
-            let t0 = hus_obs::latency_timer();
-            let fetched = {
-                let mut st = state.lock().expect("pipeline state poisoned");
-                loop {
-                    if let Some(b) = st.ready.remove(&seq) {
-                        st.next_emit = seq + 1;
-                        wakeup.notify_all();
-                        break b;
-                    }
-                    st = wakeup.wait(st).expect("pipeline state poisoned");
-                }
-            };
-            QUEUE_WAIT_NS.record_elapsed(t0);
-            let block = match fetched {
-                Ok(b) => b,
-                Err(e) => {
-                    // Cancel the pool and account for blocks that were
-                    // fetched ahead but will never be consumed.
-                    let mut st = state.lock().expect("pipeline state poisoned");
-                    st.cancelled = true;
-                    let unused: u64 = st
-                        .ready
-                        .values()
-                        .filter_map(|r| r.as_ref().ok())
-                        .map(|b| b.records.len() as u64 * record_bytes)
-                        .sum();
-                    if unused > 0 {
-                        READAHEAD_UNUSED.add(unused);
-                    }
-                    st.ready.clear();
-                    wakeup.notify_all();
-                    return Err(e);
-                }
-            };
-            BLOCK_EDGES.record(block.records.len() as u64);
-            streamed += block.records.len() as u64;
-            pull_block(ctx, &block, dst_base, &mut d_col);
-        }
-        Ok(())
-    });
-    result?;
-
     Ok((d_col, streamed))
 }
 
-/// Process column `col` under COP and write `D_col` back synchronously.
-/// Used by the Gauss-Seidel and per-column schedules, whose visibility
-/// rules need the write (and commit) to happen before the next unit.
+/// Process column `col` under COP and write `D_col` back. Used by the
+/// Gauss-Seidel and per-column schedules, whose visibility rules need
+/// the write (and commit) to happen before the next unit; the pull of
+/// each block runs on the pool.
 pub fn run_column<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
     col: usize,
-    touched_col: bool,
-    readahead: usize,
-    queue_depth: usize,
 ) -> Result<u64> {
-    let (d_col, streamed) = process_column(ctx, store, col, touched_col, readahead, queue_depth)?;
+    let (d_col, streamed) = process_column(ctx, store, col, true)?;
     store.write_next(col, &d_col)?;
     Ok(streamed)
 }
 
-/// Process all `P` columns of a synchronous COP iteration, overlapping
-/// each column's `D` write-back with the next column's fetches: the
-/// write runs on a helper thread while the next column starts streaming
-/// (commits still happen together afterwards, so visibility is
-/// unchanged). Returns the total edge records streamed.
+/// Process all `P` columns of a synchronous COP iteration, one whole
+/// column per pool worker (commits happen together afterwards, so
+/// visibility is unchanged). Columns are claimed heaviest-first by
+/// in-edge count, so a heavy column is never the last one started.
+/// Returns the total edge records streamed.
 pub fn run_columns<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     store: &VertexStore<Pr::Value>,
-    readahead: usize,
-    queue_depth: usize,
 ) -> Result<u64> {
-    fn join_write(pending: Option<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
-        match pending {
-            Some(h) => {
-                h.join().map_err(|_| StorageError::Corrupt("write-back thread panicked".into()))?
-            }
-            None => Ok(()),
-        }
-    }
-
-    let mut streamed = 0u64;
-    std::thread::scope(|scope| -> Result<()> {
-        let mut pending = None;
-        for col in 0..ctx.graph.p() {
-            let processed = {
-                let _s = span!("cop.column", interval = col);
-                process_column(ctx, store, col, false, readahead, queue_depth)
-            };
-            // The previous column's write-back overlapped this column's
-            // processing; collect it before publishing the next one.
-            join_write(pending.take())?;
-            let (d_col, n) = processed?;
-            streamed += n;
-            pending = Some(scope.spawn(move || store.write_next(col, &d_col)));
-        }
-        join_write(pending)
-    })?;
-    Ok(streamed)
+    let p = ctx.graph.p();
+    let mut cols: Vec<usize> = (0..p).collect();
+    cols.sort_by_cached_key(|&col| {
+        std::cmp::Reverse((0..p).map(|i| ctx.graph.in_block_len(i, col)).sum::<u64>())
+    });
+    let streamed = cols
+        .into_par_iter()
+        .map(|col| {
+            let _s = span!("cop.column", interval = col);
+            let (d_col, n) = process_column(ctx, store, col, false)?;
+            store.write_next(col, &d_col)?;
+            Ok(n)
+        })
+        .collect::<Result<Vec<u64>>>()?;
+    Ok(streamed.iter().sum())
 }
 
-/// The in-memory pull of one fetched block into `D_col`, parallel over
-/// destination vertices (each owns a disjoint slice of `D_col` and a
-/// disjoint record range).
+/// The in-memory pull of one fetched block into `D_col`, per destination
+/// vertex (each owns a disjoint slot of `D_col` and a disjoint record
+/// range), on the pool when `parallel`.
 fn pull_block<Pr: VertexProgram>(
     ctx: &IterCtx<'_, Pr>,
     block: &FetchedBlock<Pr::Value>,
     dst_base: u32,
     d_col: &mut [Pr::Value],
+    parallel: bool,
 ) {
     let src_base = ctx.graph.meta().interval_start(block.src_interval);
-    d_col.par_iter_mut().enumerate().for_each(|(local, dst_val)| {
+    // A full frontier needs no per-edge membership test, and an
+    // always-active program's next frontier starts full, so marking it
+    // would be a no-op read-modify-write per destination.
+    let check_active = !ctx.frontier_full;
+    let mark_next = !ctx.program.always_active();
+    let pull = |(local, dst_val): (usize, &mut Pr::Value)| {
         let (lo, hi) = (block.index[local] as usize, block.index[local + 1] as usize);
         if lo == hi {
             return;
@@ -381,7 +139,7 @@ fn pull_block<Pr: VertexProgram>(
         let mut changed = false;
         for k in lo..hi {
             let src = block.records.neighbor(k);
-            if !ctx.active.get(src) {
+            if check_active && !ctx.active.get(src) {
                 continue;
             }
             let src_val = &block.s_block[(src - src_base) as usize];
@@ -395,20 +153,26 @@ fn pull_block<Pr: VertexProgram>(
                 changed |= ctx.program.combine(dst_val, msg);
             }
         }
-        if changed {
+        if changed && mark_next {
             ctx.next_active.set(dst);
         }
-    });
+    };
+    if parallel {
+        d_col.par_iter_mut().enumerate().for_each(pull);
+    } else {
+        d_col.iter_mut().enumerate().for_each(pull);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::builder::BuildConfig;
-    use crate::engine::{Engine, RunConfig, UpdateMode};
+    use crate::engine::{Deadline, Engine, RunConfig, Synchrony, UpdateMode};
     use crate::graph::HusGraph;
     use crate::meta::GraphMeta;
     use crate::program::{EdgeCtx, VertexProgram};
     use hus_storage::StorageDir;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct MinLabel;
 
@@ -433,8 +197,8 @@ mod tests {
         }
     }
 
-    /// Satellite: a mid-stream fetch failure must surface as an error to
-    /// the caller (not hang the pipeline, not panic a producer). The
+    /// A mid-stream fetch failure must surface as an error to the caller
+    /// (not hang, not panic a worker) under every COP schedule. The
     /// in-edges shard is truncated *after* open, so `FileBackend`'s
     /// cached length admits the read and the underlying `pread` fails
     /// mid-column.
@@ -443,7 +207,8 @@ mod tests {
         let el = hus_gen::rmat(300, 3000, 5, Default::default());
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
-        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
+        let g =
+            std::sync::Arc::new(HusGraph::build_into(&el, &dir, &BuildConfig::with_p(8)).unwrap());
 
         // Corrupt column 2's in-edge shard under the open graph.
         let victim = dir.path(&GraphMeta::in_edges_file(2));
@@ -453,48 +218,92 @@ mod tests {
         f.set_len(4).unwrap();
         drop(f);
 
-        let cfg = RunConfig {
-            mode: UpdateMode::ForceCop,
-            threads: 2,
-            readahead_blocks: 4,
-            ..Default::default()
-        };
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            let result = Engine::new(&g, &MinLabel, cfg).run();
-            done_tx.send(result.is_err()).unwrap();
-        });
-        // The run must finish promptly with an error; a deadlocked
-        // pipeline would leave the channel empty.
-        let failed = done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("COP run hung on a mid-stream storage error");
-        assert!(failed, "truncated shard must surface a StorageError");
-        handle.join().unwrap();
+        for synchrony in [Synchrony::Synchronous, Synchrony::GaussSeidel] {
+            let cfg = RunConfig {
+                mode: UpdateMode::ForceCop,
+                synchrony,
+                threads: 4,
+                ..Default::default()
+            };
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let g = std::sync::Arc::clone(&g);
+            let handle = std::thread::spawn(move || {
+                let result = Engine::new(&g, &MinLabel, cfg).run();
+                done_tx.send(result.is_err()).unwrap();
+            });
+            // The run must finish promptly with an error; a deadlock
+            // would leave the channel empty.
+            let failed = done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{synchrony:?} COP run hung on a storage error"));
+            assert!(failed, "{synchrony:?}: truncated shard must surface a StorageError");
+            handle.join().unwrap();
+        }
     }
 
-    /// Readahead depth must not change results or modeled I/O bytes on
-    /// the success path: every prefetched block is consumed.
+    /// The thread count must not change results or modeled I/O bytes:
+    /// every column is pulled in the serial walk's block order.
     #[test]
-    fn deep_readahead_matches_shallow_bit_for_bit() {
+    fn column_parallel_matches_serial_bit_for_bit() {
         let el = hus_gen::rmat(400, 4000, 21, Default::default());
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(6)).unwrap();
-        let run = |readahead: usize| {
+        let run = |threads: usize| {
             g.dir().tracker().reset();
-            let cfg = RunConfig {
-                mode: UpdateMode::ForceCop,
-                threads: 4,
-                readahead_blocks: readahead,
-                ..Default::default()
-            };
+            let cfg = RunConfig { mode: UpdateMode::ForceCop, threads, ..Default::default() };
             let (values, stats) = Engine::new(&g, &MinLabel, cfg).run().unwrap();
             (values, stats.total_io.total_bytes())
         };
-        let (shallow_vals, shallow_bytes) = run(1);
-        let (deep_vals, deep_bytes) = run(6);
-        assert_eq!(shallow_vals, deep_vals);
-        assert_eq!(shallow_bytes, deep_bytes, "readahead must not change modeled I/O");
+        let (serial_vals, serial_bytes) = run(1);
+        let (par_vals, par_bytes) = run(4);
+        assert_eq!(serial_vals, par_vals);
+        assert_eq!(serial_bytes, par_bytes, "thread count must not change modeled I/O");
+    }
+
+    /// A deadline crossed while the columns are in flight aborts the run
+    /// with the typed error. Every scatter sleeps, so one iteration far
+    /// outlasts the budget; the scatter count proves the cutoff landed
+    /// mid-iteration rather than at the check before it.
+    #[test]
+    fn deadline_crossed_mid_iteration_returns_the_typed_error() {
+        struct SlowLabel(AtomicUsize);
+        impl VertexProgram for SlowLabel {
+            type Value = u32;
+            fn init(&self, v: u32) -> u32 {
+                v
+            }
+            fn initially_active(&self, _v: u32) -> bool {
+                true
+            }
+            fn scatter(&self, s: &u32, _c: &EdgeCtx) -> Option<u32> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                Some(*s)
+            }
+            fn combine(&self, d: &mut u32, m: u32) -> bool {
+                MinLabel.combine(d, m)
+            }
+        }
+
+        let el = hus_gen::rmat(300, 3000, 8, Default::default());
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
+        let program = SlowLabel(AtomicUsize::new(0));
+        let cfg = RunConfig {
+            mode: UpdateMode::ForceCop,
+            threads: 2,
+            deadline: Deadline::after_ms(200),
+            ..Default::default()
+        };
+        let err = Engine::new(&g, &program, cfg).run().unwrap_err();
+        assert!(err.is_deadline(), "{err}");
+        let scattered = program.0.load(Ordering::Relaxed) as u64;
+        assert!(
+            scattered > 0 && scattered < g.num_edges(),
+            "cutoff must land inside the first iteration ({scattered} of {} edges)",
+            g.num_edges()
+        );
     }
 }

@@ -40,6 +40,26 @@ static CKPT_SAVE_FAILURES: hus_obs::LazyCounter =
 /// hybrid iterations only; see [`crate::audit`]).
 static MISPREDICTION_PCT: hus_obs::LazyHistogram =
     hus_obs::LazyHistogram::new("predict.misprediction_pct");
+/// Worker threads the process-wide pool has spawned: O(1) per process,
+/// since workers persist across runs.
+static POOL_THREADS_SPAWNED: hus_obs::LazyCounter =
+    hus_obs::LazyCounter::new("pool.threads_spawned");
+/// The pool spawn total already added to [`POOL_THREADS_SPAWNED`].
+static POOL_SPAWNS_PUBLISHED: AtomicU64 = AtomicU64::new(0);
+
+/// Bring the `pool.threads_spawned` counter up to the pool's spawn total
+/// (a no-op while collection is disabled; the next enabled call catches
+/// up). `fetch_max` keeps concurrent runs from adding a spawn twice.
+fn publish_pool_spawns() {
+    if !hus_obs::enabled() {
+        return;
+    }
+    let now = rayon::threads_spawned() as u64;
+    let before = POOL_SPAWNS_PUBLISHED.fetch_max(now, Ordering::Relaxed);
+    if now > before {
+        POOL_THREADS_SPAWNED.add(now - before);
+    }
+}
 
 /// Laps the run's `IoTracker` at phase boundaries, attributing each
 /// delta's bytes to the phase that just ended; merged into the
@@ -125,9 +145,8 @@ pub enum Synchrony {
 /// Run-time configuration.
 ///
 /// [`Default`] resolves every knob from the environment where an
-/// override exists (`HUS_PARALLEL_ROWS`, `HUS_READAHEAD`,
-/// `HUS_QUEUE_DEPTH`, `HUS_MERGE_SLACK`, `HUS_VERIFY`; see the
-/// README's knob table).
+/// override exists (`HUS_PARALLEL_ROWS`, `HUS_MERGE_SLACK`,
+/// `HUS_VERIFY`, `HUS_CKPT`; see the README's knob table).
 /// Struct-update syntax pins just the fields a caller cares about:
 ///
 /// ```
@@ -140,7 +159,7 @@ pub enum Synchrony {
 ///     ..RunConfig::with_mode(UpdateMode::ForceCop)
 /// };
 /// assert_eq!(cfg.mode, UpdateMode::ForceCop);
-/// assert!(cfg.effective_readahead() >= 1);
+/// assert_eq!(cfg.threads, 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -150,7 +169,8 @@ pub struct RunConfig {
     pub synchrony: Synchrony,
     /// Hybrid decision granularity (ignored under `Force*`).
     pub granularity: SelectionGranularity,
-    /// Worker threads (a dedicated rayon pool is built per run).
+    /// Thread budget on the process-wide worker pool (the calling
+    /// thread counts as one).
     pub threads: usize,
     /// Predictor α gate (paper: 0.05).
     pub alpha: f64,
@@ -164,7 +184,8 @@ pub struct RunConfig {
     /// `T_random`).
     pub throughput: Throughput,
     /// Scratch directory name for the vertex store, created under the
-    /// graph directory. `None` derives a unique name per run.
+    /// graph directory. `None` uses a `scratch_<pid>_<n>` directory no
+    /// concurrent run shares; a finished run hands it to the next one.
     pub scratch_name: Option<String>,
     /// Process independent ROP rows concurrently under the run's thread
     /// pool (synchronous schedule only; Gauss-Seidel keeps its ordered
@@ -172,12 +193,6 @@ pub struct RunConfig {
     /// result is identical to the serial walk for commutative combines.
     /// Env override: `HUS_PARALLEL_ROWS=0` disables.
     pub parallel_rows: bool,
-    /// COP readahead window in blocks: how many in-blocks the producer
-    /// pool may fetch ahead of the consumer. `0` (the default) sizes the
-    /// window from the thread budget (`threads` clamped to 2..=8 — each
-    /// resident block costs one in-block plus one `S` interval of
-    /// memory). Env override: `HUS_READAHEAD`.
-    pub readahead_blocks: usize,
     /// Maximum byte gap between two selective ROP edge ranges that are
     /// still merged into a single batched multi-range read. Merging
     /// kicks in only when the device's batched throughput actually beats
@@ -196,13 +211,6 @@ pub struct RunConfig {
     /// checkpoint bit-identically (see DESIGN.md §10 and
     /// [`crate::checkpoint`]). Env override: `HUS_CKPT`.
     pub checkpoint_every: u32,
-    /// Upper bound on concurrent in-flight block fetches per COP column
-    /// walk (the producer fan-out of the readahead pipeline). This is
-    /// the software queue depth presented to the storage backend: the
-    /// direct-I/O backend maps it onto its io_uring submission queue,
-    /// while buffered backends see it as producer-thread parallelism.
-    /// Env override: `HUS_QUEUE_DEPTH`.
-    pub queue_depth: usize,
     /// Cooperative run deadline, checked once per iteration and at
     /// every block boundary of the COP/ROP loops; `None` (the default)
     /// disables it. Crossing the deadline aborts the run with the typed
@@ -258,11 +266,6 @@ pub fn check_deadline(d: Option<&Deadline>) -> Result<()> {
 /// read as one run.
 pub const DEFAULT_MERGE_SLACK: u64 = 4096;
 
-/// Default [`RunConfig::queue_depth`]: matches the direct backend's
-/// default io_uring ring size so one column walk can keep the ring full
-/// without overcommitting producer threads on buffered backends.
-pub const DEFAULT_QUEUE_DEPTH: usize = 8;
-
 pub(crate) fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
@@ -287,11 +290,9 @@ impl Default for RunConfig {
             throughput: hus_storage::DeviceProfile::hdd().read,
             scratch_name: None,
             parallel_rows: env_flag("HUS_PARALLEL_ROWS", true),
-            readahead_blocks: env_parse("HUS_READAHEAD", 0),
             range_merge_slack: env_parse("HUS_MERGE_SLACK", DEFAULT_MERGE_SLACK),
             verify_checksums: env_flag("HUS_VERIFY", false),
             checkpoint_every: env_parse("HUS_CKPT", 0),
-            queue_depth: env_parse("HUS_QUEUE_DEPTH", DEFAULT_QUEUE_DEPTH),
             deadline: None,
         }
     }
@@ -302,16 +303,6 @@ impl RunConfig {
     pub fn with_mode(mode: UpdateMode) -> Self {
         RunConfig { mode, ..Default::default() }
     }
-
-    /// The COP readahead depth this config resolves to (`0` = auto-sized
-    /// from the thread budget).
-    pub fn effective_readahead(&self) -> usize {
-        if self.readahead_blocks == 0 {
-            self.threads.clamp(2, 8)
-        } else {
-            self.readahead_blocks
-        }
-    }
 }
 
 /// A configured run of a program over a graph.
@@ -321,7 +312,34 @@ pub struct Engine<'a, Pr: VertexProgram> {
     config: RunConfig,
 }
 
-static SCRATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
+/// Scratch slots ever handed out by [`ScratchSlot::take`].
+static SCRATCH_SLOTS: AtomicU64 = AtomicU64::new(0);
+/// Slots of finished unnamed runs, free for the next one.
+static FREE_SCRATCH_SLOTS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+
+/// The slot `n` of an unnamed run's scratch directory
+/// `scratch_<pid>_<n>`, held for the run and handed back when it ends.
+/// The next unnamed run then reuses the directory and its vertex-store
+/// files instead of paying a `mkdir` and two file creations, which on a
+/// busy journaling filesystem cost milliseconds: a third of a small COP
+/// run.
+struct ScratchSlot(u64);
+
+impl ScratchSlot {
+    fn take() -> Self {
+        let free = FREE_SCRATCH_SLOTS.lock().ok().and_then(|mut free| free.pop());
+        ScratchSlot(free.unwrap_or_else(|| SCRATCH_SLOTS.fetch_add(1, Ordering::Relaxed)))
+    }
+}
+
+impl Drop for ScratchSlot {
+    fn drop(&mut self) {
+        // A poisoned list only forgoes reuse.
+        if let Ok(mut free) = FREE_SCRATCH_SLOTS.lock() {
+            free.push(self.0);
+        }
+    }
+}
 
 impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
     /// Create an engine for `program` over `graph`.
@@ -370,18 +388,22 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
             .num_threads(self.config.threads.max(1))
             .build()
             .map_err(|e| StorageError::Corrupt(format!("rayon pool: {e}")))?;
-        pool.install(|| self.run_inner())
+        let result = pool.install(|| self.run_inner());
+        publish_pool_spawns();
+        result
     }
 
-    fn scratch_dir(&self) -> Result<hus_storage::StorageDir> {
-        let name = self.config.scratch_name.clone().unwrap_or_else(|| {
-            format!(
-                "scratch_{}_{}",
-                std::process::id(),
-                SCRATCH_COUNTER.fetch_add(1, Ordering::Relaxed)
-            )
-        });
-        self.graph.dir().subdir(&name)
+    /// The run's scratch directory, plus the slot that keeps an unnamed
+    /// one exclusive to this run until it is dropped.
+    fn scratch_dir(&self) -> Result<(hus_storage::StorageDir, Option<ScratchSlot>)> {
+        match &self.config.scratch_name {
+            Some(name) => Ok((self.graph.dir().subdir(name)?, None)),
+            None => {
+                let slot = ScratchSlot::take();
+                let name = format!("scratch_{}_{}", std::process::id(), slot.0);
+                Ok((self.graph.dir().subdir(&name)?, Some(slot)))
+            }
+        }
     }
 
     fn run_inner(&self) -> Result<(Vec<Pr::Value>, RunStats)> {
@@ -403,20 +425,22 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
         let run_start_res = resilience.snapshot();
         let run_start = Instant::now();
 
-        let scratch = self.scratch_dir()?;
+        let (scratch, _slot) = self.scratch_dir()?;
         let always = self.program.always_active();
 
         // Checkpoint/restore (DESIGN.md §10): with checkpointing on,
         // adopt the freshest valid snapshot left in the scratch
         // directory by an interrupted earlier run of the same
         // `scratch_name` — the store and frontier are rebuilt from it
-        // bit-identically and the loop re-enters where it left off.
+        // bit-identically and the loop re-enters where it left off. An
+        // unnamed scratch slot is reused by unrelated runs, so whatever
+        // checkpoint it holds is never adopted.
         let mut ckpt_mgr = (self.config.checkpoint_every > 0)
             .then(|| crate::checkpoint::CheckpointManager::new(scratch.clone(), v));
         let mut ckpt_stats = crate::stats::CheckpointStats::default();
         let mut start_iteration = 0usize;
         let mut restored: Option<(Vec<Pr::Value>, ActiveSet)> = None;
-        if let Some(mgr) = &mut ckpt_mgr {
+        if let (Some(mgr), Some(_)) = (&mut ckpt_mgr, &self.config.scratch_name) {
             if let Some(snap) = mgr.load_latest::<Pr::Value>() {
                 match ActiveSet::from_words(v, &snap.active_words) {
                     Some(frontier) if (snap.iteration as usize) < self.config.max_iterations => {
@@ -517,6 +541,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 graph: self.graph,
                 program: self.program,
                 active: &active,
+                frontier_full: active_vertices == v as u64,
                 next_active: &next_active,
                 coalesce_ratio: self.config.throughput.batched_bps
                     / self.config.throughput.random_bps,
@@ -525,8 +550,6 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                 merge_slack: self.config.range_merge_slack,
                 deadline: self.config.deadline,
             };
-            let readahead = self.config.effective_readahead();
-            let queue_depth = self.config.queue_depth.max(1);
 
             let mut edges_this_iter = 0u64;
             let mut rop_units = 0u32;
@@ -587,14 +610,7 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                         UpdateModel::Cop => {
                             {
                                 let _s = span!("cop.column", interval = col);
-                                edges_this_iter += cop::run_column(
-                                    &ctx,
-                                    &store,
-                                    col,
-                                    false,
-                                    readahead,
-                                    queue_depth,
-                                )?;
+                                edges_this_iter += cop::run_column(&ctx, &store, col)?;
                             }
                             phase_io.lap(&tracker, "cop");
                             cop_units += 1;
@@ -714,18 +730,11 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                             // Paper-literal: Swap(S_i, D_i) right after
                             // column i (Algorithm 3 line 20). The
                             // write-back must land before the next
-                            // column starts, so no cross-column overlap.
+                            // column starts, so columns run in order.
                             for col in 0..p {
                                 {
                                     let _s = span!("cop.column", interval = col);
-                                    edges_this_iter += cop::run_column(
-                                        &ctx,
-                                        &store,
-                                        col,
-                                        false,
-                                        readahead,
-                                        queue_depth,
-                                    )?;
+                                    edges_this_iter += cop::run_column(&ctx, &store, col)?;
                                     store.commit(col);
                                 }
                                 phase_io.lap(&tracker, "cop");
@@ -733,10 +742,8 @@ impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
                             }
                         } else {
                             // Synchronous: columns write disjoint next
-                            // buffers, so each column's write-back
-                            // overlaps the next column's fetches.
-                            edges_this_iter +=
-                                cop::run_columns(&ctx, &store, readahead, queue_depth)?;
+                            // buffers, so whole columns run in parallel.
+                            edges_this_iter += cop::run_columns(&ctx, &store)?;
                             phase_io.lap(&tracker, "cop");
                             cop_units += p as u32;
                             {
@@ -930,9 +937,7 @@ mod tests {
         let g = HusGraph::build_into(&el, &dir, &BuildConfig::with_p(4)).unwrap();
         for mode in [UpdateMode::ForceRop, UpdateMode::ForceCop] {
             // A cutoff already in the past: the run must abort at the
-            // first check with the typed error, under both models and
-            // both COP fetch paths (sync and pipelined) — the readahead
-            // fallback must not retry a crossed deadline.
+            // first check with the typed error, under both models.
             let deadline = Some(Deadline {
                 at: Instant::now() - std::time::Duration::from_millis(1),
                 budget_ms: 7,

@@ -38,6 +38,9 @@ pub struct IterCtx<'a, Pr: VertexProgram> {
     pub program: &'a Pr,
     /// This iteration's frontier (read-only).
     pub active: &'a ActiveSet,
+    /// Whether `active` holds every vertex, so per-edge membership
+    /// tests can be skipped.
+    pub frontier_full: bool,
     /// Next iteration's frontier (written concurrently).
     pub next_active: &'a ActiveSet,
     /// `T_batched / T_random` of the device: per-vertex selective

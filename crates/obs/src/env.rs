@@ -158,15 +158,9 @@ pub const KNOBS: &[EnvKnob] = &[
     EnvKnob {
         name: "HUS_QUEUE_DEPTH",
         default: "`8`",
-        effect: "I/O queue depth: concurrent producer fetches per COP column walk and \
-                 the io_uring submission-queue size of the `direct` backend (see \
-                 `DESIGN.md` §3.5)",
-    },
-    EnvKnob {
-        name: "HUS_READAHEAD",
-        default: "`0`",
-        effect: "COP readahead window in blocks; `0` auto-sizes from the thread budget \
-                 (threads clamped to 2..=8)",
+        effect: "I/O queue depth of the `direct` backend: its io_uring submission-queue \
+                 size, or the threads fanning out one batched read where io_uring is \
+                 unavailable (see `DESIGN.md` §3.5)",
     },
     EnvKnob {
         name: "HUS_RETRIES",

@@ -1,14 +1,15 @@
-//! Determinism stress tests for the parallel I/O pipeline: row-parallel
-//! ROP and deep COP readahead must be invisible to the algorithm — the
+//! Determinism stress tests for the parallel engine: row-parallel ROP
+//! and column-parallel COP must be invisible to the algorithm — the
 //! same vertex values, bit for bit, and the same tracked I/O bytes as
-//! the serial single-threaded walk. (Unused readahead on early abort is
-//! reported via a separate counter, not folded into the run's totals.)
+//! the serial single-threaded walk.
 //!
-//! The programs used here combine with `min`, which is commutative *and*
-//! order-insensitive in its bit pattern, so "bit-identical" is a hard
-//! assertion, not a tolerance check.
+//! Most programs used here combine with `min`, which is commutative
+//! *and* order-insensitive in its bit pattern, so "bit-identical" is a
+//! hard assertion, not a tolerance check. PageRank's `f32` sums are
+//! order-sensitive, so its bit-identity also pins the per-destination
+//! accumulation order.
 
-use husgraph::algos::{Bfs, Wcc};
+use husgraph::algos::{Bfs, PageRank, Wcc};
 use husgraph::core::{BuildConfig, Engine, HusGraph, RunConfig, UpdateMode};
 use husgraph::storage::StorageDir;
 
@@ -32,25 +33,19 @@ fn build(p: u32) -> (tempfile::TempDir, HusGraph) {
 
 /// Explicit config so ambient `HUS_*` env overrides can't skew the
 /// comparison: everything pinned except the knobs under test.
-fn cfg(mode: UpdateMode, threads: usize, parallel_rows: bool, readahead: usize) -> RunConfig {
-    RunConfig {
-        mode,
-        threads,
-        parallel_rows,
-        readahead_blocks: readahead,
-        ..RunConfig::with_mode(mode)
-    }
+fn cfg(mode: UpdateMode, threads: usize, parallel_rows: bool) -> RunConfig {
+    RunConfig { mode, threads, parallel_rows, ..RunConfig::with_mode(mode) }
 }
 
 #[test]
 fn parallel_rop_rows_match_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceRop, 1, false, 1);
+    let serial_cfg = cfg(UpdateMode::ForceRop, 1, false);
     let (serial_vals, serial_stats) = Engine::new(&g, &Bfs::new(0), serial_cfg).run().unwrap();
 
     for threads in [4, 8] {
         g.dir().tracker().reset();
-        let par_cfg = cfg(UpdateMode::ForceRop, threads, true, 1);
+        let par_cfg = cfg(UpdateMode::ForceRop, threads, true);
         let (par_vals, par_stats) = Engine::new(&g, &Bfs::new(0), par_cfg).run().unwrap();
         assert_eq!(serial_vals, par_vals, "BFS values diverged at {threads} threads");
         assert_eq!(
@@ -70,7 +65,7 @@ fn parallel_rop_repeated_runs_are_stable() {
     let mut baseline: Option<Vec<u32>> = None;
     for round in 0..4 {
         g.dir().tracker().reset();
-        let (vals, _) = Engine::new(&g, &Wcc, cfg(UpdateMode::ForceRop, 8, true, 1)).run().unwrap();
+        let (vals, _) = Engine::new(&g, &Wcc, cfg(UpdateMode::ForceRop, 8, true)).run().unwrap();
         match &baseline {
             None => baseline = Some(vals),
             Some(b) => assert_eq!(b, &vals, "WCC diverged on parallel round {round}"),
@@ -79,22 +74,38 @@ fn parallel_rop_repeated_runs_are_stable() {
 }
 
 #[test]
-fn deep_cop_readahead_matches_serial_bit_for_bit() {
+fn column_parallel_cop_matches_serial_bit_for_bit() {
     let (_tmp, g) = build(6);
-    let serial_cfg = cfg(UpdateMode::ForceCop, 1, false, 1);
+    let serial_cfg = cfg(UpdateMode::ForceCop, 1, false);
     let (serial_vals, serial_stats) = Engine::new(&g, &Wcc, serial_cfg).run().unwrap();
 
-    for readahead in [2, 6] {
+    for threads in [2, 6] {
         g.dir().tracker().reset();
-        let deep_cfg = cfg(UpdateMode::ForceCop, 4, true, readahead);
-        let (deep_vals, deep_stats) = Engine::new(&g, &Wcc, deep_cfg).run().unwrap();
-        assert_eq!(serial_vals, deep_vals, "WCC values diverged at readahead {readahead}");
+        let par_cfg = cfg(UpdateMode::ForceCop, threads, true);
+        let (par_vals, par_stats) = Engine::new(&g, &Wcc, par_cfg).run().unwrap();
+        assert_eq!(serial_vals, par_vals, "WCC values diverged at {threads} threads");
         assert_eq!(
             serial_stats.total_io.total_bytes(),
-            deep_stats.total_io.total_bytes(),
-            "tracked I/O bytes diverged at readahead {readahead}"
+            par_stats.total_io.total_bytes(),
+            "tracked I/O bytes diverged at {threads} threads"
         );
     }
+}
+
+#[test]
+fn pagerank_bits_match_across_thread_counts() {
+    let (_tmp, g) = build(6);
+    let n = g.meta().num_vertices;
+    let run = |mode: UpdateMode, threads: usize| -> Vec<u32> {
+        let config = RunConfig { max_iterations: 5, ..cfg(mode, threads, true) };
+        let (ranks, _) = Engine::new(&g, &PageRank::new(n), config).run().unwrap();
+        ranks.iter().map(|r| r.to_bits()).collect()
+    };
+    let cop_serial = run(UpdateMode::ForceCop, 1);
+    for threads in [2, 4] {
+        assert!(cop_serial == run(UpdateMode::ForceCop, threads), "COP bits at {threads} threads");
+    }
+    assert!(run(UpdateMode::Hybrid, 1) == run(UpdateMode::Hybrid, 4), "hybrid bits at 4 threads");
 }
 
 #[test]
@@ -103,10 +114,10 @@ fn hybrid_pipeline_matches_serial_hybrid() {
     // iteration — with every pipeline feature on vs everything off.
     let (_tmp, g) = build(4);
     let (serial_vals, serial_stats) =
-        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1, false, 1)).run().unwrap();
+        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 1, false)).run().unwrap();
     g.dir().tracker().reset();
     let (par_vals, par_stats) =
-        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8, true, 4)).run().unwrap();
+        Engine::new(&g, &Bfs::new(0), cfg(UpdateMode::Hybrid, 8, true)).run().unwrap();
     assert_eq!(serial_vals, par_vals);
     assert_eq!(serial_stats.total_io.total_bytes(), par_stats.total_io.total_bytes());
 }

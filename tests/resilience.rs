@@ -37,24 +37,23 @@ fn reopen(path: &Path, faults: Option<FaultSpec>, verify: bool) -> HusGraph {
     g
 }
 
-/// Serial config: one thread, no row parallelism, no readahead overlap.
+/// Serial config: one thread, no row parallelism.
 fn serial(verify: bool) -> RunConfig {
     RunConfig {
         threads: 1,
         parallel_rows: false,
-        readahead_blocks: 1,
         max_iterations: 5,
         verify_checksums: verify,
         ..Default::default()
     }
 }
 
-/// Parallel config: threaded pool, row-parallel ROP, deep COP readahead.
+/// Parallel config: four pool threads, row-parallel ROP and
+/// column-parallel COP.
 fn parallel(verify: bool) -> RunConfig {
     RunConfig {
         threads: 4,
         parallel_rows: true,
-        readahead_blocks: 4,
         max_iterations: 5,
         verify_checksums: verify,
         ..Default::default()
@@ -251,11 +250,11 @@ fn on_disk_flip_names_the_exact_block_through_the_engine() {
 }
 
 /// Damage that drives a vertex id out of its interval panics the COP
-/// consumer mid-pipeline when verification is off (garbage in, panic
-/// out) — but it must be a prompt panic, never a deadlock: the unwind
-/// guard has to wake the parked readahead producers so the pipeline's
-/// thread scope can join. With verification on, the same damage is a
-/// clean typed corruption error instead.
+/// pull on whichever pool worker holds that column when verification is
+/// off (garbage in, panic out) — but it must be a prompt panic, never a
+/// deadlock: the pool re-raises a worker's panic on the calling thread
+/// once the other columns finish. With verification on, the same damage
+/// is a clean typed corruption error instead.
 #[test]
 fn wild_corruption_panics_promptly_instead_of_hanging_the_pipeline() {
     let tmp = tempfile::tempdir().unwrap();
