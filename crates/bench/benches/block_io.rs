@@ -246,9 +246,9 @@ fn cop_stream_run(graph: &hus_core::HusGraph, threads: usize, trials: usize) -> 
     (secs[secs.len() / 2], bytes)
 }
 
-/// The multicore scaling sweep (tentpole of the direct-I/O PR): COP
-/// streaming throughput across threads × backend × codec, written to
-/// `BENCH_pipeline.json` (schema 3). `host_cores` is recorded honestly;
+/// The multicore scaling sweep: COP streaming throughput across
+/// threads × backend × codec, written to `BENCH_pipeline.json`
+/// (schema 3). `host_cores` is recorded honestly;
 /// the ≥1.3x parallel-vs-serial-file assertion only applies on hosts
 /// that can actually run two workers at once.
 fn bench_scaling_sweep(_c: &mut Criterion) {
@@ -265,11 +265,7 @@ fn bench_scaling_sweep(_c: &mut Criterion) {
         let root = tmp.path().join(codec_name);
         let dir = StorageDir::create_with(&root, BackendKind::File).unwrap();
         HusGraph::build_into(&el, &dir, &BuildConfig::with_p_codec(4, codec)).unwrap();
-        for (kind, backend_name) in [
-            (BackendKind::File, "file"),
-            (BackendKind::Mmap, "mmap"),
-            (BackendKind::Direct, "direct"),
-        ] {
+        for (kind, backend_name) in [(BackendKind::File, "file"), (BackendKind::Mmap, "mmap")] {
             let dir = StorageDir::open(&root).unwrap().with_backend(kind);
             let graph = HusGraph::open(dir).unwrap();
             for threads in [1usize, 2, 4, 8] {

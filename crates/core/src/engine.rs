@@ -185,7 +185,9 @@ pub struct RunConfig {
     pub throughput: Throughput,
     /// Scratch directory name for the vertex store, created under the
     /// graph directory. `None` uses a `scratch_<pid>_<n>` directory no
-    /// concurrent run shares; a finished run hands it to the next one.
+    /// concurrent run shares; a finished run hands it to the next one,
+    /// and the first [`HusGraph::open`] after the process exits removes
+    /// it.
     pub scratch_name: Option<String>,
     /// Process independent ROP rows concurrently under the run's thread
     /// pool (synchronous schedule only; Gauss-Seidel keeps its ordered
@@ -339,6 +341,36 @@ impl Drop for ScratchSlot {
             free.push(self.0);
         }
     }
+}
+
+/// Remove the unnamed-run scratch directories (`scratch_<pid>_<n>`)
+/// under `root` whose process has exited. A process keeps its slots for
+/// its later runs and never removes them itself, so each graph open
+/// cleans up after processes that are gone. Directories of live
+/// processes, this one included, and named [`RunConfig::scratch_name`]
+/// directories are left alone. Liveness is read from procfs, so a
+/// process in another pid namespace counts as exited; without procfs
+/// nothing is removed.
+pub(crate) fn remove_dead_scratch(root: &std::path::Path) {
+    if !std::path::Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(root) else { return };
+    for entry in entries.flatten() {
+        let Some(pid) = entry.file_name().to_str().and_then(scratch_pid) else { continue };
+        let alive = std::path::Path::new("/proc").join(pid.to_string()).exists();
+        if !alive && entry.path().is_dir() {
+            // Another opener may be removing it too; either one wins.
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
+/// The pid of an unnamed-run scratch directory name `scratch_<pid>_<n>`.
+fn scratch_pid(name: &str) -> Option<u32> {
+    let (pid, slot) = name.strip_prefix("scratch_")?.split_once('_')?;
+    slot.parse::<u64>().ok()?;
+    pid.parse().ok()
 }
 
 impl<'a, Pr: VertexProgram> Engine<'a, Pr> {
@@ -1283,6 +1315,43 @@ mod edge_case_tests {
         Engine::new(&g, &MinLabel, config).run().unwrap();
         assert!(dir.path("my_scratch").is_dir());
         assert!(dir.exists("my_scratch/vals_a.bin"));
+    }
+
+    #[test]
+    fn open_removes_only_the_scratch_of_exited_processes() {
+        let el = hus_gen::classic::cycle(8);
+        let tmp = tempfile::tempdir().unwrap();
+        let dir = StorageDir::create(tmp.path().join("g")).unwrap();
+        let g = HusGraph::build_into(&el, &dir, &crate::BuildConfig::with_p(2)).unwrap();
+        // An unnamed run leaves this process's own slot behind.
+        Engine::new(&g, &MinLabel, RunConfig::default()).run().unwrap();
+        let own_prefix = format!("scratch_{}_", std::process::id());
+        let mut kept: Vec<String> = std::fs::read_dir(dir.root())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&own_prefix))
+            .collect();
+        assert_eq!(kept.len(), 1, "the run's own slot: {kept:?}");
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let dead = child.id();
+        child.wait().unwrap();
+        let dead_scratch = format!("scratch_{dead}_0");
+        // Named directories, one of them shaped almost like a slot.
+        kept.extend([format!("scratch_{dead}_named"), "my_scratch".to_string()]);
+        let mut live = std::process::Command::new("sleep").arg("30").spawn().unwrap();
+        kept.push(format!("scratch_{}_0", live.id()));
+        for name in kept.iter().skip(1).chain([&dead_scratch]) {
+            std::fs::create_dir(dir.path(name)).unwrap();
+            std::fs::write(dir.path(name).join("vals_a.bin"), [0u8; 8]).unwrap();
+        }
+        HusGraph::open(StorageDir::open(dir.root()).unwrap()).unwrap();
+        live.kill().unwrap();
+        live.wait().unwrap();
+        assert!(!dir.path(&dead_scratch).exists(), "an exited process's scratch is removed");
+        for name in &kept {
+            assert!(dir.path(name).is_dir(), "{name} must survive the open");
+        }
     }
 
     #[test]

@@ -229,6 +229,7 @@ impl HusGraph {
             )?);
             in_index.push(dir.reader(&GraphMeta::in_index_file(i))?);
         }
+        crate::engine::remove_dead_scratch(dir.root());
         Ok(HusGraph {
             dir,
             meta,

@@ -27,10 +27,8 @@ pub const KNOBS: &[EnvKnob] = &[
         name: "HUS_BACKEND",
         default: "`file`",
         effect: "storage read backend for graphs opened without an explicit choice: \
-                 `file` (buffered `pread`), `mmap` (shared map copy-out) or `direct` \
-                 (`O_DIRECT` + io_uring when available, pooled aligned buffers; \
-                 degrades to `file` on filesystems that refuse `O_DIRECT`, e.g. \
-                 tmpfs — see `DESIGN.md` §3.5)",
+                 `file` (buffered `pread`) or `mmap` (shared map copy-out); unknown \
+                 values are reported once and read as `file`",
     },
     EnvKnob {
         name: "HUS_CKPT",
@@ -154,13 +152,6 @@ pub const KNOBS: &[EnvKnob] = &[
                  a crossed deadline aborts the query with a typed `deadline` error \
                  (`0` = unlimited; CLI override `--deadline-ms`; see `DESIGN.md` \
                  §12)",
-    },
-    EnvKnob {
-        name: "HUS_QUEUE_DEPTH",
-        default: "`8`",
-        effect: "I/O queue depth of the `direct` backend: its io_uring submission-queue \
-                 size, or the threads fanning out one batched read where io_uring is \
-                 unavailable (see `DESIGN.md` §3.5)",
     },
     EnvKnob {
         name: "HUS_RETRIES",

@@ -7,7 +7,6 @@
 
 use crate::buffer::TrackedWriter;
 use crate::cache::CachedBackend;
-use crate::direct::DirectBackend;
 use crate::durable;
 use crate::error::{Result, StorageError};
 use crate::fault::{FaultInjectBackend, FaultInjectWriter, FaultSpec};
@@ -22,12 +21,10 @@ use std::sync::Arc;
 
 static OBS_MMAP_FALLBACKS: hus_obs::LazyCounter =
     hus_obs::LazyCounter::new("storage.fallback.mmap");
-static OBS_DIRECT_FALLBACKS: hus_obs::LazyCounter =
-    hus_obs::LazyCounter::new("storage.fallback.direct");
 
 /// Environment variable selecting the default read backend
-/// (`file` | `mmap` | `direct`) for directories opened without an
-/// explicit [`BackendKind`].
+/// (`file` | `mmap`) for directories opened without an explicit
+/// [`BackendKind`].
 pub const BACKEND_ENV: &str = "HUS_BACKEND";
 
 /// Which mechanism serves reads.
@@ -38,12 +35,6 @@ pub enum BackendKind {
     File,
     /// Shared read-only memory map (zero-copy block access).
     Mmap,
-    /// `O_DIRECT` positioned reads bypassing the OS page cache, served
-    /// from pooled 4 KiB-aligned buffers with vectored multi-range
-    /// submission (io_uring or thread fan-out; see [`crate::direct`]).
-    /// Degrades to [`BackendKind::File`] on filesystems that refuse
-    /// `O_DIRECT` (e.g. tmpfs).
-    Direct,
     /// File reads behind a per-file LRU page cache of the given byte
     /// budget — models an explicit memory budget: cache hits are not
     /// billed as device I/O (see [`crate::cache`]).
@@ -55,26 +46,34 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// The default backend, honoring the `HUS_BACKEND` environment
-    /// variable (`file` | `mmap` | `direct`). Unknown values are
-    /// reported once and fall back to [`BackendKind::File`]; explicit
+    /// variable (parsed by the [`FromStr`](std::str::FromStr) impl;
+    /// empty means `file`). Unknown values are reported once and fall
+    /// back to [`BackendKind::File`]; explicit
     /// [`StorageDir::with_backend`] / [`StorageDir::create_with`]
     /// selections are never overridden by the environment.
     pub fn default_from_env() -> BackendKind {
         match std::env::var(BACKEND_ENV) {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "" | "file" => BackendKind::File,
-                "mmap" => BackendKind::Mmap,
-                "direct" => BackendKind::Direct,
-                other => {
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    warn_once(
-                        &WARNED,
-                        &format!("unknown {BACKEND_ENV}={other:?}; using the file backend"),
-                    );
-                    BackendKind::File
-                }
-            },
-            Err(_) => BackendKind::File,
+            Ok(v) if !v.trim().is_empty() => v.parse().unwrap_or_else(|e| {
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                warn_once(&WARNED, &format!("{BACKEND_ENV}: {e}; using the file backend"));
+                BackendKind::File
+            }),
+            _ => BackendKind::File,
+        }
+    }
+}
+
+/// Parses a backend name as `--backend` and `HUS_BACKEND` spell it:
+/// `file` or `mmap`, case-insensitive, surrounding whitespace ignored.
+/// The error names the unknown value and the accepted names.
+impl std::str::FromStr for BackendKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> std::result::Result<Self, String> {
+        match name.trim().to_ascii_lowercase().as_str() {
+            "file" => Ok(BackendKind::File),
+            "mmap" => Ok(BackendKind::Mmap),
+            _ => Err(format!("unknown backend {name:?} (file|mmap)")),
         }
     }
 }
@@ -218,14 +217,12 @@ impl StorageDir {
     /// Open a named file for tracked reading with the configured backend.
     ///
     /// The handed-out backend is composed as
-    /// `Cached?( Retry( FaultInject?( File | Mmap | Direct ) ) )`:
+    /// `Cached?( Retry( FaultInject?( File | Mmap ) ) )`:
     /// retries sit below the page cache (hits never consult the device)
     /// and above fault injection (injected transient faults exercise the
-    /// real retry path). If an mmap cannot be established, or the
-    /// filesystem refuses `O_DIRECT` (tmpfs, some network mounts), the
-    /// reader degrades to the positioned-read file backend — logged once
-    /// and counted in [`ResilienceTracker::snapshot`] as an
-    /// `mmap_fallback` / `direct_fallback`.
+    /// real retry path). If an mmap cannot be established, the reader
+    /// degrades to the positioned-read file backend — logged once and
+    /// counted in [`ResilienceTracker::snapshot`] as an `mmap_fallback`.
     pub fn reader(&self, name: &str) -> Result<Arc<dyn ReadBackend>> {
         let p = self.path(name);
         if !p.is_file() {
@@ -244,22 +241,6 @@ impl StorageDir {
                     );
                     self.resilience.record_mmap_fallback();
                     OBS_MMAP_FALLBACKS.add(1);
-                    Arc::new(FileBackend::open(p, self.tracker())?)
-                }
-            },
-            BackendKind::Direct => match DirectBackend::open(&p, self.tracker()) {
-                Ok(d) => Arc::new(d),
-                Err(e) => {
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    warn_once(
-                        &WARNED,
-                        &format!(
-                            "O_DIRECT open of {} failed ({e}); degrading to file backend",
-                            p.display()
-                        ),
-                    );
-                    self.resilience.record_direct_fallback();
-                    OBS_DIRECT_FALLBACKS.add(1);
                     Arc::new(FileBackend::open(p, self.tracker())?)
                 }
             },
@@ -659,25 +640,13 @@ mod tests {
     }
 
     #[test]
-    fn direct_kind_reads_correctly_or_degrades() {
-        // On filesystems without O_DIRECT (tmpfs) the reader silently
-        // degrades to the file backend; either way the bytes and the
-        // billing must be identical to BackendKind::File.
-        let tmp = tempfile::tempdir().unwrap();
-        let dir = StorageDir::create_with(tmp.path().join("d"), BackendKind::Direct).unwrap();
-        let data: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
-        let mut w = dir.writer("x.bin").unwrap();
-        w.write_all(&data).unwrap();
-        w.finish().unwrap();
-        dir.tracker().reset();
-        let r = dir.reader("x.bin").unwrap();
-        assert_eq!(r.len(), data.len() as u64);
-        let mut buf = vec![0u8; 5000];
-        r.read_at(3000, &mut buf, Access::Random).unwrap();
-        assert_eq!(buf, data[3000..8000]);
-        let s = dir.tracker().snapshot();
-        assert_eq!(s.rand_read_bytes, 5000, "requested bytes billed, not aligned transfer");
-        assert_eq!(s.rand_read_ops, 1);
+    fn backend_names_parse() {
+        assert_eq!("file".parse(), Ok(BackendKind::File));
+        assert_eq!(" MMAP\n".parse(), Ok(BackendKind::Mmap));
+        for bad in ["direct", "", "cached"] {
+            let err = bad.parse::<BackendKind>().unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")) && err.contains("(file|mmap)"), "{err}");
+        }
     }
 
     #[test]

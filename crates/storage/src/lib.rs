@@ -40,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aligned;
 pub mod buffer;
 pub mod cache;
 pub mod checksum;
@@ -48,7 +47,6 @@ pub mod codec_backend;
 pub mod delta;
 pub mod device;
 pub mod dir;
-pub mod direct;
 pub mod durable;
 pub mod error;
 pub mod fault;
@@ -59,14 +57,7 @@ pub mod pod;
 pub mod probe;
 pub mod retry;
 pub mod tracker;
-#[cfg(all(
-    feature = "uring",
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-pub mod uring;
 
-pub use aligned::{AlignedBuf, BufPool, DIRECT_ALIGN};
 pub use buffer::{BlockStream, TrackedWriter};
 pub use cache::{CacheStats, CachedBackend};
 pub use checksum::{crc32c, Crc32c, ShardFooter};
@@ -74,7 +65,6 @@ pub use codec_backend::{BlockSpan, CodecBackend};
 pub use delta::{DeltaRecord, DeltaRun};
 pub use device::{CostModel, DeviceProfile, Throughput};
 pub use dir::{BackendKind, StagingDir, StorageDir};
-pub use direct::DirectBackend;
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjectBackend, FaultInjectWriter, FaultSpec, WriteFault};
 pub use file::FileBackend;
@@ -120,10 +110,8 @@ pub trait ReadBackend: Send + Sync {
     /// path — notably [`FileBackend`], which issues a single spanning
     /// `pread` — override it and bill the *requested* bytes once, so the
     /// modeled byte count is identical either way and only the operation
-    /// count shrinks. Callers pass ranges sorted by offset — vectored
-    /// submission ([`direct::DirectBackend`]) and the spanning-read
-    /// optimization both rely on it, and every implementation
-    /// debug-asserts it.
+    /// count shrinks. Callers pass ranges sorted by offset, and every
+    /// implementation debug-asserts it.
     fn read_ranges(&self, ranges: &mut [RangeRead<'_>], access: Access) -> Result<()> {
         debug_assert_ranges_sorted(ranges);
         for r in ranges {
@@ -151,8 +139,7 @@ pub struct RangeRead<'a> {
 }
 
 /// Debug-assert the [`ReadBackend::read_ranges`] calling convention:
-/// ranges sorted by offset. Vectored submission orders its queue by this,
-/// and the spanning-read backends compute their span from first/last.
+/// ranges sorted by offset.
 pub fn debug_assert_ranges_sorted(ranges: &[RangeRead<'_>]) {
     debug_assert!(
         ranges.windows(2).all(|w| w[0].offset <= w[1].offset),

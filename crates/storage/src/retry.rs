@@ -36,7 +36,6 @@ static OBS_RANGED_FALLBACKS: hus_obs::LazyCounter =
 static GAUGE_RETRIES: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.retries");
 static GAUGE_GIVEUPS: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.giveups");
 static GAUGE_MMAP_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.mmap_fallbacks");
-static GAUGE_DIRECT_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.direct_fallbacks");
 static GAUGE_RANGED_FB: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.ranged_fallbacks");
 static GAUGE_CRC_FAIL: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.checksum_failures");
 static GAUGE_WRITE_FAULTS: hus_obs::LazyGauge = hus_obs::LazyGauge::new("resilience.write_faults");
@@ -109,7 +108,6 @@ pub struct ResilienceTracker {
     retries: AtomicU64,
     giveups: AtomicU64,
     mmap_fallbacks: AtomicU64,
-    direct_fallbacks: AtomicU64,
     ranged_fallbacks: AtomicU64,
     checksum_failures: AtomicU64,
     write_faults: AtomicU64,
@@ -136,12 +134,6 @@ impl ResilienceTracker {
     /// Count one mmap→file backend degradation.
     pub fn record_mmap_fallback(&self) {
         self.mmap_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one direct→file backend degradation (`O_DIRECT` refused by
-    /// the filesystem or kernel).
-    pub fn record_direct_fallback(&self) {
-        self.direct_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one batched→per-range read degradation.
@@ -183,7 +175,6 @@ impl ResilienceTracker {
         GAUGE_RETRIES.set(s.retries);
         GAUGE_GIVEUPS.set(s.giveups);
         GAUGE_MMAP_FB.set(s.mmap_fallbacks);
-        GAUGE_DIRECT_FB.set(s.direct_fallbacks);
         GAUGE_RANGED_FB.set(s.ranged_fallbacks);
         GAUGE_CRC_FAIL.set(s.checksum_failures);
         GAUGE_WRITE_FAULTS.set(s.write_faults);
@@ -197,7 +188,6 @@ impl ResilienceTracker {
             retries: self.retries.load(Ordering::Relaxed),
             giveups: self.giveups.load(Ordering::Relaxed),
             mmap_fallbacks: self.mmap_fallbacks.load(Ordering::Relaxed),
-            direct_fallbacks: self.direct_fallbacks.load(Ordering::Relaxed),
             ranged_fallbacks: self.ranged_fallbacks.load(Ordering::Relaxed),
             sync_fallbacks: 0,
             checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
@@ -218,8 +208,6 @@ pub struct ResilienceSnapshot {
     pub giveups: u64,
     /// mmap→file backend degradations.
     pub mmap_fallbacks: u64,
-    /// direct→file backend degradations (`O_DIRECT` refused).
-    pub direct_fallbacks: u64,
     /// Batched→per-range read degradations.
     pub ranged_fallbacks: u64,
     /// Retired, always 0: counted COP readahead→synchronous column
@@ -238,7 +226,8 @@ pub struct ResilienceSnapshot {
 }
 
 /// Hand-written so the three write-path counters added after the first
-/// RunStats format default to zero when absent — stats JSON written by
+/// RunStats format default to zero when absent, and fields of retired
+/// counters (`direct_fallbacks`) are ignored — stats JSON written by
 /// older builds keeps loading.
 impl Deserialize for ResilienceSnapshot {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
@@ -253,7 +242,6 @@ impl Deserialize for ResilienceSnapshot {
             retries: serde::from_field(v, "retries")?,
             giveups: serde::from_field(v, "giveups")?,
             mmap_fallbacks: serde::from_field(v, "mmap_fallbacks")?,
-            direct_fallbacks: serde::from_field(v, "direct_fallbacks")?,
             ranged_fallbacks: serde::from_field(v, "ranged_fallbacks")?,
             sync_fallbacks: serde::from_field(v, "sync_fallbacks")?,
             checksum_failures: serde::from_field(v, "checksum_failures")?,
@@ -271,7 +259,6 @@ impl ResilienceSnapshot {
             retries: self.retries.saturating_sub(earlier.retries),
             giveups: self.giveups.saturating_sub(earlier.giveups),
             mmap_fallbacks: self.mmap_fallbacks.saturating_sub(earlier.mmap_fallbacks),
-            direct_fallbacks: self.direct_fallbacks.saturating_sub(earlier.direct_fallbacks),
             ranged_fallbacks: self.ranged_fallbacks.saturating_sub(earlier.ranged_fallbacks),
             sync_fallbacks: 0,
             checksum_failures: self.checksum_failures.saturating_sub(earlier.checksum_failures),
@@ -285,7 +272,7 @@ impl ResilienceSnapshot {
 
     /// Total degradation events of any kind.
     pub fn total_fallbacks(&self) -> u64 {
-        self.mmap_fallbacks + self.direct_fallbacks + self.ranged_fallbacks
+        self.mmap_fallbacks + self.ranged_fallbacks
     }
 
     /// Whether any resilience event occurred at all.
@@ -399,6 +386,25 @@ impl ReadBackend for RetryBackend {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+
+    #[test]
+    fn snapshot_from_an_older_build_still_loads() {
+        let mut fields: Vec<(String, serde::Value)> = [
+            "retries",
+            "giveups",
+            "mmap_fallbacks",
+            "direct_fallbacks",
+            "ranged_fallbacks",
+            "sync_fallbacks",
+            "checksum_failures",
+        ]
+        .iter()
+        .map(|k| (k.to_string(), serde::Value::U64(0)))
+        .collect();
+        fields[0].1 = serde::Value::U64(3);
+        let s = ResilienceSnapshot::from_value(&serde::Value::Object(fields)).unwrap();
+        assert_eq!(s, ResilienceSnapshot { retries: 3, ..Default::default() });
+    }
 
     /// Backend that fails the first `fail_first` read attempts with a
     /// transient error, then serves zeroes.

@@ -68,9 +68,8 @@ const USAGE: &str = "usage:
   hus serve <graph-dir> [--addr host:port] [--max-inflight N] [--byte-budget B] \
             [--threads N] [--deadline-ms N] [--idle-ms N]
 
-graph-reading commands also accept --backend file|mmap|direct
-(default: $HUS_BACKEND, else file; direct degrades to file where
-O_DIRECT is unsupported, e.g. tmpfs)";
+graph-reading commands also accept --backend file|mmap
+(default: $HUS_BACKEND, else file)";
 
 type CliResult = Result<(), String>;
 
@@ -434,14 +433,7 @@ fn cmd_serve(rest: &[&String]) -> CliResult {
 }
 
 fn parse_backend(rest: &[&String]) -> Result<Option<hus_storage::BackendKind>, String> {
-    use hus_storage::BackendKind;
-    match flag_value(rest, "--backend") {
-        None => Ok(None),
-        Some("file") => Ok(Some(BackendKind::File)),
-        Some("mmap") => Ok(Some(BackendKind::Mmap)),
-        Some("direct") => Ok(Some(BackendKind::Direct)),
-        Some(other) => Err(format!("unknown backend {other:?} (file|mmap|direct)")),
-    }
+    flag_value(rest, "--backend").map(str::parse).transpose()
 }
 
 /// Open a graph directory for reading. Goes through [`hus_core::DynamicGraph`]
@@ -697,12 +689,11 @@ fn draw_top_frame(
     );
     println!(
         "resilience: {} retries, {} giveups, {} checksum failures, \
-         fallbacks {} mmap / {} direct / {} ranged",
+         fallbacks {} mmap / {} ranged",
         resilience.retries,
         resilience.giveups,
         resilience.checksum_failures,
         resilience.mmap_fallbacks,
-        resilience.direct_fallbacks,
         resilience.ranged_fallbacks,
     );
     let heat = hus_obs::attr::render_heatmap(&hus_obs::attr::snapshot());

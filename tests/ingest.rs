@@ -178,11 +178,6 @@ fn ingest_matches_rebuild_raw_mmap() {
 }
 
 #[test]
-fn ingest_matches_rebuild_raw_direct() {
-    scenario(Codec::Raw, BackendKind::Direct);
-}
-
-#[test]
 fn ingest_matches_rebuild_delta_varint_file() {
     scenario(Codec::DeltaVarint, BackendKind::File);
 }
@@ -190,11 +185,6 @@ fn ingest_matches_rebuild_delta_varint_file() {
 #[test]
 fn ingest_matches_rebuild_delta_varint_mmap() {
     scenario(Codec::DeltaVarint, BackendKind::Mmap);
-}
-
-#[test]
-fn ingest_matches_rebuild_delta_varint_direct() {
-    scenario(Codec::DeltaVarint, BackendKind::Direct);
 }
 
 /// Weighted graphs: inserted weights override the base weights and

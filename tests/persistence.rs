@@ -113,14 +113,14 @@ fn all_backends_and_codecs_agree_bit_for_bit() {
     let tmp = tempfile::tempdir().unwrap();
     // PageRank is float arithmetic, so "agree" here is the strongest
     // claim available: bit-identical vertex values for every (backend,
-    // codec) combination, regardless of how reads were aligned,
-    // batched or decoded underneath.
+    // codec) combination, regardless of how reads were batched
+    // or decoded underneath.
     let mut want: Option<(Vec<f32>, Vec<u32>)> = None;
     for (ci, codec) in [Codec::Raw, Codec::DeltaVarint].into_iter().enumerate() {
         let path = tmp.path().join(format!("g{ci}"));
         let dir = StorageDir::create(&path).unwrap();
         HusGraph::build_into(&el, &dir, &BuildConfig::with_p_codec(4, codec)).unwrap();
-        for kind in [BackendKind::File, BackendKind::Mmap, BackendKind::Direct] {
+        for kind in [BackendKind::File, BackendKind::Mmap] {
             let g = HusGraph::open(StorageDir::open(&path).unwrap().with_backend(kind)).unwrap();
             let cfg = RunConfig { max_iterations: 5, ..RunConfig::default() };
             let (ranks, _) =

@@ -152,7 +152,7 @@ fn concurrent_queries_bit_identical_across_backends_and_codecs() {
         let tmp = tempfile::tempdir().unwrap();
         let dir = StorageDir::create(tmp.path().join("g")).unwrap();
         HusGraph::build_into(&el, &dir, &BuildConfig::with_p_codec(P, codec)).unwrap();
-        for backend in [BackendKind::File, BackendKind::Mmap, BackendKind::Direct] {
+        for backend in [BackendKind::File, BackendKind::Mmap] {
             let label = format!("{codec:?}/{backend:?}");
             let exp = expected(&tmp.path().join("g"), backend, &truth);
             let serve_dir = StorageDir::open(tmp.path().join("g")).unwrap().with_backend(backend);
